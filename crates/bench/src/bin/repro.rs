@@ -11,6 +11,7 @@
 //!        obs [--json]|profile|selftrace|bench]
 //! ```
 //!
+//! `--help` or `-h` prints the usage synopsis and exits 0.
 //! With no arguments the full study runs at paper scale (eight 24-hour
 //! traces, 14 counter days) and prints every table with the published
 //! values alongside. `--quick` uses the reduced configuration (useful
@@ -65,9 +66,10 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "bench",
 ];
 
-/// The usage synopsis printed on an unknown subcommand.
+/// The usage synopsis: printed to stdout for `--help`/`-h`, and to
+/// stderr on an unknown subcommand.
 fn usage() -> String {
-    "usage: repro [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [--racecheck] [--no-fastpath] [SUBCOMMAND]\n\
+    "usage: repro [-h|--help] [--quick] [--traces N] [--days N] [--threads N|auto] [--sanitize] [--observe] [--racecheck] [--no-fastpath] [SUBCOMMAND]\n\
      \n\
      subcommands:\n\
      \x20 all                 full study, every table and figure (default)\n\
@@ -92,6 +94,10 @@ fn usage() -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return;
+    }
     let quick = args.iter().any(|a| a == "--quick");
     // The first positional argument is the subcommand; skip flags and
     // the values of flags that take one.

@@ -773,14 +773,13 @@ impl<S: TraceSink> Cluster<S> {
     #[inline]
     fn server_tick_flush(&mut self, si: usize, cutoff: SimTime) {
         let now = self.now;
-        let block_size = self.cfg.block_size;
         let causal = self.causal.as_deref_mut();
         match &mut self.route {
             Route::Inline => {
                 if let Some(c) = causal {
                     c.coord_event(si, 0, true);
                 }
-                self.servers[si].flush_dirty_before(cutoff, block_size);
+                self.servers[si].flush_dirty_before(cutoff);
             }
             Route::Queued(q) => {
                 if let Some(c) = causal {

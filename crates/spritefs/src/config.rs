@@ -379,6 +379,9 @@ impl Config {
         if self.num_servers == 0 {
             return Err("need at least one server".into());
         }
+        if self.server_cache_bytes < self.block_size {
+            return Err("server_cache_bytes must hold at least one block".into());
+        }
         if self.reserved_bytes >= self.client_mem_bytes
             || self.reserved_bytes >= self.client_mem_alt_bytes
         {
@@ -514,6 +517,12 @@ mod tests {
 
         let c = Config {
             daemon_period: SimDuration::from_secs(60),
+            ..Config::default()
+        };
+        assert!(c.validate().is_err());
+
+        let c = Config {
+            server_cache_bytes: 4095,
             ..Config::default()
         };
         assert!(c.validate().is_err());

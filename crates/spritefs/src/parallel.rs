@@ -692,7 +692,6 @@ impl<S: TraceSink> Cluster<S> {
                 }
             }
         }
-        let block_size = self.cfg.block_size;
         let checking = self.race.is_some();
         let replay_verdicts = std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -700,7 +699,7 @@ impl<S: TraceSink> Cluster<S> {
                 .iter_mut()
                 .zip(per_server)
                 .map(|(server, streams)| {
-                    s.spawn(move || replay_server(server, streams, block_size, checking))
+                    s.spawn(move || replay_server(server, streams, checking))
                 })
                 .collect();
             handles
@@ -722,7 +721,6 @@ impl<S: TraceSink> Cluster<S> {
 fn replay_server(
     server: &mut Server,
     streams: Vec<Vec<SrvEvent>>,
-    block_size: u64,
     racecheck: bool,
 ) -> Option<crate::racecheck::RaceStats> {
     let mut check = racecheck.then(crate::racecheck::ReplayCheck::default);
@@ -737,7 +735,7 @@ fn replay_server(
             }
             SrvEventKind::Write { key, bytes } => server.accept_write(key, bytes, ev.now),
             SrvEventKind::DropFile { file } => server.drop_file_blocks(file),
-            SrvEventKind::TickFlush { cutoff } => server.flush_dirty_before(cutoff, block_size),
+            SrvEventKind::TickFlush { cutoff } => server.flush_dirty_before(cutoff),
         }
     }
     check.map(crate::racecheck::ReplayCheck::into_stats)

@@ -147,6 +147,8 @@ pub struct Server {
     pub cache: BlockCache,
     /// Cache capacity in blocks.
     pub capacity_blocks: u64,
+    /// Bytes per block: the size of one disk write.
+    block_size: u64,
     /// Per-file consistency state (only for files with activity).
     pub files: FastMap<FileId, SrvFileState>,
     /// Server-side counters (disk traffic, RPCs served).
@@ -170,6 +172,7 @@ impl Server {
             id,
             cache: BlockCache::new(),
             capacity_blocks: capacity_bytes / block_size,
+            block_size,
             files: FastMap::default(),
             counters: CounterSet::new(),
             scratch_files: Vec::new(),
@@ -303,7 +306,7 @@ impl Server {
         while self.cache.len() as u64 > self.capacity_blocks {
             if let Some((evicted, entry)) = self.cache.pop_lru() {
                 if entry.dirty {
-                    self.counters.add("server.disk.write.bytes", 4096);
+                    self.counters.add("server.disk.write.bytes", self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(evicted);
                     }
@@ -317,7 +320,7 @@ impl Server {
 
     /// The server's delayed-write daemon: flush blocks dirty since
     /// `cutoff` to disk.
-    pub fn flush_dirty_before(&mut self, cutoff: SimTime, block_size: u64) {
+    pub fn flush_dirty_before(&mut self, cutoff: SimTime) {
         let mut files = std::mem::take(&mut self.scratch_files);
         let mut blocks = std::mem::take(&mut self.scratch_blocks);
         self.cache.files_with_dirty_before_into(cutoff, &mut files);
@@ -326,7 +329,7 @@ impl Server {
             for &index in &blocks {
                 let key = BlockKey { file, index };
                 if self.cache.clean(key).is_some() {
-                    self.counters.add("server.disk.write.bytes", block_size);
+                    self.counters.add("server.disk.write.bytes", self.block_size);
                     if self.log_disk_flushes {
                         self.disk_flush_log.push(key);
                     }
@@ -429,11 +432,26 @@ mod tests {
     }
 
     #[test]
+    fn disk_writes_use_the_configured_block_size() {
+        // 8 KB blocks: both eviction and the daemon's flush write one
+        // whole block to disk.
+        let mut srv = Server::new(ServerId(0), 2 * 8192, 8192);
+        srv.accept_write(key(1, 0), 8192, t(1));
+        srv.accept_write(key(1, 1), 8192, t(2));
+        srv.serve_read(key(2, 0), 8192, t(3));
+        assert_eq!(srv.counters.get("server.cache.evictions"), 1);
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), 8192, "dirty eviction");
+        srv.flush_dirty_before(t(40));
+        assert_eq!(srv.counters.get("server.disk.write.bytes"), 2 * 8192, "daemon flush");
+        assert_eq!(srv.cache.dirty_len(), 0);
+    }
+
+    #[test]
     fn daemon_flush() {
         let mut srv = Server::new(ServerId(0), 1 << 20, 4096);
         srv.accept_write(key(1, 0), 4096, t(0));
         srv.accept_write(key(2, 0), 4096, t(50));
-        srv.flush_dirty_before(t(30), 4096);
+        srv.flush_dirty_before(t(30));
         assert_eq!(srv.counters.get("server.disk.write.bytes"), 4096);
         assert_eq!(srv.cache.dirty_len(), 1);
     }
@@ -446,7 +464,7 @@ mod tests {
         srv.accept_write(key(2, 0), 4096, t(50));
         // The daemon flushes the old block to disk; the young one stays
         // dirty in the volatile cache.
-        srv.flush_dirty_before(t(30), 4096);
+        srv.flush_dirty_before(t(30));
         let mut flushed = Vec::new();
         srv.take_disk_flush_log(&mut flushed);
         assert_eq!(flushed, vec![key(1, 0)]);

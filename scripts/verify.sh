@@ -87,6 +87,12 @@ test "$usage_status" -eq 2 || { echo "unknown subcommand must exit 2, got $usage
 grep -q "usage: repro" /tmp/verify_usage.txt
 grep -q "selftrace" /tmp/verify_usage.txt
 
+echo "==> cli: --help and -h print usage on stdout and exit 0"
+for flag in --help -h; do
+    ./target/release/repro "$flag" > /tmp/verify_help.txt
+    grep -q "usage: repro" /tmp/verify_help.txt
+done
+
 echo "==> causalprof off: --causal never perturbs the campaign stdout"
 ./target/release/repro --quick --causal all > /tmp/verify_report_causal.txt
 cmp /tmp/verify_report.txt /tmp/verify_report_causal.txt
@@ -197,5 +203,9 @@ dec = doc["open_close_decision_speedup_on_vs_off"]
 assert dec >= 1.3, f"open/close decision speedup {dec} < 1.3"
 EOF
 rm -rf "$tmpdir"
+
+echo "==> perfbench: quick_campaign digests match perfbench/reference.txt (failed = 0)"
+python3 perfbench/run.py --workload quick_campaign --seed 1 --seconds 1 --trace 0 > /tmp/verify_perfbench.txt
+tail -n 1 /tmp/verify_perfbench.txt | grep -q '"failed": 0'
 
 echo "verify: OK"

@@ -33,6 +33,20 @@ fn unknown_subcommand_prints_usage_and_exits_2() {
 }
 
 #[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        for args in [vec![flag], vec!["--quick", flag], vec!["all", flag]] {
+            let out = repro(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?} exits 0");
+            assert!(out.stderr.is_empty(), "{args:?} runs nothing");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(text.starts_with("usage: repro"), "{args:?}:\n{text}");
+            assert!(text.contains("subcommands:"), "{args:?}:\n{text}");
+        }
+    }
+}
+
+#[test]
 fn misspelled_flagless_table_exits_2() {
     let out = repro(&["--quick", "table13"]);
     assert_eq!(out.status.code(), Some(2));
